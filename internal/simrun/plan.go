@@ -41,11 +41,15 @@ type pointRun struct {
 // sweeps. Build it single-threaded (AddSweep/AddFunc), execute it
 // once with Execute, then read results from the returned Handles.
 type Plan struct {
-	mu        sync.Mutex
-	runs      []*pointRun
-	index     map[string]*pointRun
-	requested int
-	counters  Counters
+	mu sync.Mutex
+	// progressMu serializes counter updates together with their
+	// Progress callbacks, so callbacks never overlap and see snapshots
+	// in update order. It is taken before mu, never inside it.
+	progressMu sync.Mutex
+	runs       []*pointRun
+	index      map[string]*pointRun
+	requested  int
+	counters   Counters
 }
 
 // NewPlan returns an empty plan.
@@ -227,7 +231,8 @@ type Options struct {
 	Dispatcher Dispatcher
 	// Progress, when non-nil, is called with a counter snapshot after
 	// every state change (cache hit, start, finish). Calls are
-	// serialized.
+	// serialized and arrive in update order; workers wait for a call
+	// in progress before reporting their next change, so keep it short.
 	Progress func(Counters)
 }
 
@@ -437,9 +442,14 @@ func executeUnit(ctx context.Context, unit []*pointRun, nets *netCache) {
 	runBatch(ctx, unit, nets)
 }
 
-// bump applies a counter update and emits a progress snapshot, both
-// under the plan mutex so observers see consistent counts.
+// bump applies a counter update under the plan mutex, so observers
+// see consistent counts, and emits the snapshot under the progress
+// mutex, so Progress calls are serialized in update order as Options
+// documents. Counters readers take only the plan mutex and are never
+// held up by a slow callback.
 func (p *Plan) bump(update func(*Counters), progress func(Counters)) {
+	p.progressMu.Lock()
+	defer p.progressMu.Unlock()
 	p.mu.Lock()
 	update(&p.counters)
 	snap := p.counters

@@ -307,3 +307,18 @@ func TestFingerprintStableInProcess(t *testing.T) {
 		t.Fatalf("fingerprint unstable or malformed: %q vs %q", a, b)
 	}
 }
+
+// TestFingerprintGolden pins the behaviour fingerprint. Performance
+// work must leave it unchanged (every cache key depends on it); a
+// deliberate behaviour change updates the pin and says why in
+// CHANGES.md.
+func TestFingerprintGolden(t *testing.T) {
+	const want = "169700feae508f9b8db5faa2150d1f99"
+	got, err := Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Fingerprint() = %q, pinned %q", got, want)
+	}
+}

@@ -6,7 +6,10 @@
 // simulation experiments are exactly reproducible.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a xoshiro256** generator. The zero value is invalid;
 // construct with New.
@@ -47,19 +50,17 @@ func (src *Source) Split() *Source {
 	return New(src.Uint64() ^ 0xd1b54a32d192ed03)
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns the next 64 random bits.
 func (src *Source) Uint64() uint64 {
 	s := &src.s
-	result := rotl(s[1]*5, 7) * 9
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
 	t := s[1] << 17
 	s[2] ^= s[0]
 	s[3] ^= s[1]
 	s[1] ^= s[2]
 	s[0] ^= s[3]
 	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
 
@@ -72,25 +73,11 @@ func (src *Source) Intn(n int) int {
 	bound := uint64(n)
 	//simvet:bounded — rejection probability < 2^-32 per draw, so the loop all but always exits on the first iteration
 	for {
-		v := src.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(src.Uint64(), bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // IntRange returns a uniform integer in [lo, hi] inclusive.
@@ -124,15 +111,36 @@ func (src *Source) Exp(mean float64) float64 {
 func (src *Source) Bool() bool { return src.Uint64()&1 == 1 }
 
 // Perm fills a permutation of [0, n) into dst (reusing its backing
-// storage when cap allows) using Fisher-Yates, and returns it.
+// storage when cap allows) using Fisher-Yates, and returns it. Step i
+// draws exactly what Intn(i+1) would. The engine shuffles every cycle,
+// so the draw is inlined here: the generator state stays in registers
+// for the whole shuffle and Uint64's step is repeated verbatim.
 func (src *Source) Perm(dst []int, n int) []int {
 	dst = dst[:0]
+	s0, s1, s2, s3 := src.s[0], src.s[1], src.s[2], src.s[3]
 	for i := 0; i < n; i++ {
-		j := src.Intn(i + 1)
+		bound := uint64(i + 1)
+		var hi, lo uint64
+		//simvet:bounded — rejection probability < 2^-32 per draw, as in Intn
+		for {
+			v := bits.RotateLeft64(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = bits.RotateLeft64(s3, 45)
+			hi, lo = bits.Mul64(v, bound)
+			if lo >= bound || lo >= (-bound)%bound {
+				break
+			}
+		}
 		dst = append(dst, 0)
-		dst[i] = dst[j]
-		dst[j] = i
+		dst[i] = dst[hi]
+		dst[hi] = i
 	}
+	src.s = [4]uint64{s0, s1, s2, s3}
 	return dst
 }
 
